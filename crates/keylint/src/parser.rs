@@ -58,6 +58,10 @@ pub struct ArgIdent {
     /// Whether a field/method access follows (`text.…`) — the binding
     /// itself is not being rendered, one of its members is.
     pub before_dot: bool,
+    /// Members accessed after this identifier in its postfix chain
+    /// (`a.b().c` yields `[b, c]` for `a` and `[c]` for `b`), so a
+    /// sanitizer later in the chain (`.len()`) can clear the value.
+    pub rest: Vec<String>,
 }
 
 /// A macro invocation (`name!(…)`).
@@ -403,6 +407,7 @@ pub fn parse_file(path: &str, src: &str) -> FileModel {
                             text: tok.text.clone(),
                             after_dot: toks[i + 2 + k].text == ".",
                             before_dot: toks.get(i + 4 + k).is_some_and(|t| t.text == "."),
+                            rest: chain_members(&toks, i + 4 + k),
                         });
                     }
                 }
@@ -973,6 +978,25 @@ fn rhs_end(toks: &[Tok], start: usize, stop_at_brace: bool) -> usize {
 /// Pattern-side keywords that never bind a value.
 const PATTERN_KEYWORDS: &[&str] = &["mut", "ref", "box", "_"];
 
+/// Walks the postfix chain starting at `j` (just past its root): returns
+/// the `.ident` projections in order, with call/index argument groups and
+/// `?` skipped.
+fn chain_members(toks: &[Tok], mut j: usize) -> Vec<String> {
+    let mut members = Vec::new();
+    loop {
+        match toks.get(j).map(|x| x.text.as_str()) {
+            Some("(") => j = match_balanced(toks, j, "(", ")") + 1,
+            Some("[") => j = match_balanced(toks, j, "[", "]") + 1,
+            Some("?") => j += 1,
+            Some(".") if toks.get(j + 1).is_some_and(|n| n.kind == TokKind::Ident) => {
+                members.push(toks[j + 1].text.clone());
+                j += 2;
+            }
+            _ => return members,
+        }
+    }
+}
+
 /// Collects every identifier chain in `toks[start..end]`: each ident not
 /// preceded by `.` (and not a macro name) roots a chain extended through
 /// `.ident` projections, with call/index argument groups and `?` skipped.
@@ -992,21 +1016,7 @@ fn collect_chains(toks: &[Tok], start: usize, end: usize) -> (Vec<SourceRef>, us
             && !PATTERN_KEYWORDS.contains(&t.text.as_str())
         {
             let mut chain = vec![t.text.clone()];
-            let mut j = k + 1;
-            loop {
-                match toks.get(j).map(|x| x.text.as_str()) {
-                    Some("(") => j = match_balanced(toks, j, "(", ")") + 1,
-                    Some("[") => j = match_balanced(toks, j, "[", "]") + 1,
-                    Some("?") => j += 1,
-                    Some(".")
-                        if toks.get(j + 1).is_some_and(|n| n.kind == TokKind::Ident) =>
-                    {
-                        chain.push(toks[j + 1].text.clone());
-                        j += 2;
-                    }
-                    _ => break,
-                }
-            }
+            chain.extend(chain_members(toks, k + 1));
             out.push(SourceRef {
                 chain,
                 tok_index: k,

@@ -400,7 +400,10 @@ fn check_format_macros(
         }
         for arg in &mac.args {
             let leaking = if arg.after_dot {
-                cfg.accessors.contains(&arg.text) || cfg.secret_field_names.contains(&arg.text)
+                // A sanitizer later in the chain (`.patterns().len()`)
+                // renders metadata, not the member — as it does in a `let`.
+                (cfg.accessors.contains(&arg.text) || cfg.secret_field_names.contains(&arg.text))
+                    && !arg.rest.iter().any(|m| cfg.sanitizers.contains(m))
             } else {
                 // A bare tainted binding is being rendered whole; if a `.`
                 // follows, only the accessed member matters (checked above).

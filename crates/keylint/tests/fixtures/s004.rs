@@ -52,6 +52,32 @@ fn fine_nonsecret(n: u64) {
     println!("{n}");
 }
 
+struct Scanner {
+    pats: Vec<u8>,
+}
+
+impl Scanner {
+    fn patterns(&self) -> &[u8] {
+        &self.pats
+    }
+}
+
+// Positive: a secret accessor rendered whole.
+fn leak_patterns(s: &Scanner) {
+    println!("{:?}", s.patterns()); //~ S004
+}
+
+// Negative: a sanitizer ending the chain inside the macro arguments.
+fn fine_sanitized_chain(s: &Scanner) {
+    println!("{}", s.patterns().len());
+}
+
+// Negative: the same chain hoisted into a binding.
+fn fine_sanitized_binding(s: &Scanner) {
+    let n = s.patterns().len();
+    println!("{n}");
+}
+
 // Suppressed.
 fn suppressed(key: RsaPrivateKey) {
     // keylint: allow(S004) -- demo intentionally shows the leak channel

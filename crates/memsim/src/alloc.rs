@@ -70,6 +70,16 @@ impl FreeLists {
     pub(crate) fn listed(&self) -> usize {
         self.hot.len() + self.cold.len()
     }
+
+    /// Every frame the allocator can hand out: the listed ones, then the
+    /// never-used ones at and above the watermark.
+    pub(crate) fn frames(&self) -> impl Iterator<Item = FrameId> + '_ {
+        self.hot
+            .iter()
+            .chain(&self.cold)
+            .copied()
+            .chain((self.watermark..self.total_frames).map(FrameId))
+    }
 }
 
 #[cfg(test)]

@@ -4,6 +4,7 @@
 
 use crate::alloc::FreeLists;
 use crate::fault::{FaultDecision, FaultOp, FaultPlan};
+use crate::phys::PhysMem;
 use crate::process::{Process, VmaKind, SPECIAL_BASE};
 use crate::slab::{class_for, SlabAllocator};
 use crate::vfs::Vfs;
@@ -169,7 +170,9 @@ pub struct KernelStats {
 #[derive(Debug, Clone)]
 pub struct Kernel {
     config: MachineConfig,
-    phys: Vec<u8>,
+    /// Frame bytes plus the known-zero bits; cloning copies only the
+    /// frames that may hold data.
+    phys: PhysMem,
     frames: Vec<Frame>,
     free: FreeLists,
     procs: BTreeMap<Pid, Process>,
@@ -217,7 +220,7 @@ impl Kernel {
         let num_frames = config.num_frames();
         Self {
             config,
-            phys: vec![0u8; num_frames * PAGE_SIZE],
+            phys: PhysMem::new(num_frames),
             frames: vec![Frame::free(); num_frames],
             free: FreeLists::new(num_frames, config.hot_list_max),
             procs: BTreeMap::new(),
@@ -391,7 +394,7 @@ impl Kernel {
     /// [`Self::phys`]; the capture itself never mutates machine state.
     #[must_use]
     pub fn snapshot_decayed(&self, seed: u64, decay_rate: f64) -> Vec<u8> {
-        let mut image = self.phys.clone();
+        let mut image = self.phys.to_vec();
         if decay_rate <= 0.0 {
             return image;
         }
@@ -497,12 +500,65 @@ impl Kernel {
         runs
     }
 
+    /// Checks the simulator's structural invariants:
+    ///
+    /// * every frame known to be zero (the bit that lets zeroing and cloning
+    ///   skip host writes) really reads all zero;
+    /// * a frame is [`FrameState::Free`] exactly when the allocator can hand
+    ///   it out — on a free list, once, or above the never-used watermark;
+    /// * a clone has the same physical bytes and the same write and state
+    ///   generations as the original.
+    ///
+    /// Clones the whole machine, so it is meant for tests, after every step.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first violation found.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        let known_zero = (0..self.frames.len())
+            .map(FrameId)
+            .filter(|&f| self.phys.is_known_zero(f));
+        for f in known_zero {
+            // An OR-fold has no early exit, so it vectorises; this loop reads
+            // nearly all of memory after every step of the property tests.
+            if self.frame_bytes(f).iter().fold(0, |a, &b| a | b) != 0 {
+                return Err(format!("{f} is known zero but holds data"));
+            }
+        }
+        let mut allocatable = vec![false; self.frames.len()];
+        for f in self.free.frames() {
+            if std::mem::replace(&mut allocatable[f.0], true) {
+                return Err(format!("{f} is on the free lists twice"));
+            }
+        }
+        for (i, fr) in self.frames.iter().enumerate() {
+            if (fr.state == FrameState::Free) != allocatable[i] {
+                return Err(format!(
+                    "{} is {:?} but allocatable={}",
+                    FrameId(i),
+                    fr.state,
+                    allocatable[i]
+                ));
+            }
+        }
+        let copy = self.clone();
+        if copy.phys() != self.phys() {
+            return Err("clone's physical memory differs".into());
+        }
+        if copy.write_gens != self.write_gens || copy.state_gens != self.state_gens {
+            return Err("clone's frame generations differ".into());
+        }
+        Ok(())
+    }
+
     // ------------------------------------------------------------------
     // Page allocator
     // ------------------------------------------------------------------
 
+    /// Clears `f` — a model event, counted in `pages_zeroed` every time,
+    /// but a host write only when the frame may hold data.
     fn zero_frame(&mut self, f: FrameId) {
-        self.phys[f.base()..f.base() + PAGE_SIZE].fill(0);
+        self.phys.zero_frame(f);
         self.touch_bytes(f);
         self.stats.pages_zeroed += 1;
     }
@@ -593,7 +649,7 @@ impl Kernel {
     pub fn write_kernel_page(&mut self, f: FrameId, offset: usize, bytes: &[u8]) {
         assert_eq!(self.frames[f.0].state, FrameState::Kernel, "not a kernel page");
         assert!(offset + bytes.len() <= PAGE_SIZE, "write beyond page");
-        self.phys[f.base() + offset..f.base() + offset + bytes.len()].copy_from_slice(bytes);
+        self.phys.frame_mut(f)[offset..offset + bytes.len()].copy_from_slice(bytes);
         self.touch_bytes(f);
     }
 
@@ -1062,8 +1118,8 @@ impl Kernel {
             } else {
                 pte.frame
             };
-            let base = frame.base() + page_off;
-            self.phys[base..base + n].copy_from_slice(&bytes[off..off + n]);
+            self.phys.frame_mut(frame)[page_off..page_off + n]
+                .copy_from_slice(&bytes[off..off + n]);
             self.touch_bytes(frame);
             off += n;
         }
@@ -1083,14 +1139,7 @@ impl Kernel {
         // Shared: duplicate the frame. This byte copy is precisely how key
         // material multiplies across worker processes.
         let new = self.alloc_frame(FrameState::Anon)?;
-        let (src, dst) = (pte.frame.base(), new.base());
-        let (lo, hi) = if src < dst { (src, dst) } else { (dst, src) };
-        let (a, b) = self.phys.split_at_mut(hi);
-        if src < dst {
-            b[..PAGE_SIZE].copy_from_slice(&a[lo..lo + PAGE_SIZE]);
-        } else {
-            a[lo..lo + PAGE_SIZE].copy_from_slice(&b[..PAGE_SIZE]);
-        }
+        self.phys.copy_frame(pte.frame, new);
         self.touch_bytes(new);
         {
             let old = &mut self.frames[pte.frame.0];
@@ -1205,8 +1254,7 @@ impl Kernel {
             let start = idx as usize * PAGE_SIZE;
             let end = (start + PAGE_SIZE).min(content.len());
             if start < content.len() {
-                self.phys[frame.base()..frame.base() + (end - start)]
-                    .copy_from_slice(&content[start..end]);
+                self.phys.frame_mut(frame)[..end - start].copy_from_slice(&content[start..end]);
                 self.touch_bytes(frame);
             }
             self.frames[frame.0].cache_key = Some((fid, idx));
@@ -1271,7 +1319,7 @@ impl Kernel {
                         }
                     };
                     if !chunk.is_empty() {
-                        self.phys[f.base()..f.base() + chunk.len()].copy_from_slice(&chunk);
+                        self.phys.frame_mut(f)[..chunk.len()].copy_from_slice(&chunk);
                     }
                     self.frames[f.0].cache_key = Some((fid, idx));
                     self.touch_state(f);
@@ -1280,8 +1328,8 @@ impl Kernel {
                     f
                 }
             };
-            let base = frame.base() + page_off;
-            self.phys[base..base + n].copy_from_slice(&bytes[off..off + n]);
+            self.phys.frame_mut(frame)[page_off..page_off + n]
+                .copy_from_slice(&bytes[off..off + n]);
             self.touch_bytes(frame);
             self.dirty_cache.insert((fid, idx));
             off += n;
@@ -1495,8 +1543,8 @@ impl Kernel {
     /// Panics when the write exceeds the object's size class.
     pub fn kwrite(&mut self, obj: KObj, bytes: &[u8]) {
         assert!(bytes.len() <= obj.capacity(), "kwrite beyond object");
-        let base = obj.frame.base() + obj.offset;
-        self.phys[base..base + bytes.len()].copy_from_slice(bytes);
+        self.phys.frame_mut(obj.frame)[obj.offset..obj.offset + bytes.len()]
+            .copy_from_slice(bytes);
         self.touch_bytes(obj.frame);
     }
 
@@ -1671,7 +1719,7 @@ impl Kernel {
         if let Some(seed) = self.swap_slots[slot].as_ref().and_then(|s| s.crypt_seed) {
             swap_keystream_xor(seed, &mut page);
         }
-        self.phys[frame.base()..frame.base() + PAGE_SIZE].copy_from_slice(&page);
+        self.phys.frame_mut(frame).copy_from_slice(&page);
         self.touch_bytes(frame);
         let locked = {
             let proc = self.proc_mut(pid)?;
@@ -1850,6 +1898,12 @@ impl Kernel {
     /// (Figures 5a, 6a) appear spread over the whole 256 MB. Call this once
     /// after boot to reproduce that spread. The cycled pages are never
     /// written, so no scan artifacts are introduced.
+    ///
+    /// Under `zero_on_free` every cycled frame is zeroed as it is freed, and
+    /// `stats.pages_zeroed` counts each of those model events. The host
+    /// writes nothing for them, though: a frame that has held no data since
+    /// its last clear is known zero, and only frames that may hold data are
+    /// actually cleared.
     ///
     /// Returns the number of frames cycled.
     pub fn age_memory(&mut self, rng: &mut simrng::Rng64, fraction: f64) -> usize {

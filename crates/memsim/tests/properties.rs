@@ -1,11 +1,14 @@
 //! Property-based tests: simulator invariants under randomized operation
 //! sequences — frame conservation, no aliasing, COW correctness, and the
-//! zeroing guarantee.
+//! zeroing guarantee. Every step of every sequence is followed by
+//! [`Kernel::check_invariants`], the oracle for the known-zero fast path.
 //!
 //! Runs on `simrng::propcheck` (pure std) so the suite works with no
 //! registry access.
 
-use memsim::{FrameId, Kernel, KernelPolicy, MachineConfig, Pid, SimError, VAddr, PAGE_SIZE};
+use memsim::{
+    FileId, FrameId, Kernel, KernelPolicy, MachineConfig, Pid, SimError, VAddr, PAGE_SIZE,
+};
 use simrng::propcheck::{self, Gen};
 
 /// A randomized workload step.
@@ -19,10 +22,15 @@ enum Op {
     Write { proc_idx: usize, alloc_idx: usize, byte: u8 },
     KernelPageCycle { n: usize },
     SwapOut { pages: usize },
+    /// Allocate kernel pages, write into them, free them.
+    KernelPageWrite { n: usize, offset: usize, byte: u8 },
+    /// Write through the page cache; with `flush`, write back and drop the
+    /// file's cache pages, so the next partial write fills from disk.
+    FileWrite { file_idx: usize, offset: usize, len: usize, byte: u8, flush: bool },
 }
 
 fn gen_op(g: &mut Gen) -> Op {
-    match g.usize_in(0..8) {
+    match g.usize_in(0..10) {
         0 => Op::Spawn,
         1 => Op::Fork(g.usize_in(0..8)),
         2 => Op::Exit(g.usize_in(0..8)),
@@ -42,8 +50,20 @@ fn gen_op(g: &mut Gen) -> Op {
         6 => Op::KernelPageCycle {
             n: g.usize_in(1..16),
         },
-        _ => Op::SwapOut {
+        7 => Op::SwapOut {
             pages: g.usize_in(1..64),
+        },
+        8 => Op::KernelPageWrite {
+            n: g.usize_in(1..8),
+            offset: g.usize_in(0..PAGE_SIZE),
+            byte: g.u8(),
+        },
+        _ => Op::FileWrite {
+            file_idx: g.usize_in(0..3),
+            offset: g.usize_in(0..3 * PAGE_SIZE),
+            len: g.usize_in(1..2 * PAGE_SIZE),
+            byte: g.u8(),
+            flush: g.usize_in(0..2) == 1,
         },
     }
 }
@@ -59,6 +79,7 @@ struct Mirror {
     procs: Vec<Pid>,
     /// Live allocations per process: (addr, size, fill byte if written).
     allocs: Vec<Vec<(VAddr, usize, Option<u8>)>>,
+    files: Vec<FileId>,
 }
 
 fn run_ops(policy: KernelPolicy, ops: &[Op]) -> (Kernel, Mirror) {
@@ -134,7 +155,32 @@ fn run_ops(policy: KernelPolicy, ops: &[Op]) -> (Kernel, Mirror) {
             Op::SwapOut { pages } => {
                 kernel.swap_out_pressure(pages).unwrap();
             }
+            Op::KernelPageWrite { n, offset, byte } => {
+                if let Ok(frames) = kernel.alloc_kernel_pages(n) {
+                    for &f in &frames {
+                        kernel.write_kernel_page(f, offset, &vec![byte; PAGE_SIZE - offset]);
+                    }
+                    kernel.free_kernel_pages(&frames);
+                }
+            }
+            Op::FileWrite { file_idx, offset, len, byte, flush } => {
+                if m.files.len() <= file_idx {
+                    let name = format!("f{}", m.files.len());
+                    m.files.push(kernel.create_file(&name, &[0x42; PAGE_SIZE + 100]));
+                }
+                let fid = m.files[file_idx % m.files.len()];
+                // Out of frames is a legal outcome; the invariants must
+                // hold either way.
+                let _ = kernel.write_file(fid, offset, &vec![byte; len]);
+                if flush {
+                    kernel.writeback(usize::MAX).unwrap();
+                    kernel.evict_file_cache(fid, false);
+                }
+            }
         }
+        kernel
+            .check_invariants()
+            .unwrap_or_else(|e| panic!("after {op:?}: {e}"));
     }
     (kernel, m)
 }
@@ -205,6 +251,11 @@ fn exits_release_all_frames() {
         let (mut kernel, m) = run_ops(KernelPolicy::stock(), &ops);
         for pid in &m.procs {
             kernel.exit(*pid).unwrap();
+        }
+        // Page-cache pages outlive processes; write back and drop them too.
+        kernel.writeback(usize::MAX).unwrap();
+        for &fid in &m.files {
+            kernel.evict_file_cache(fid, false);
         }
         let n = kernel.available_frames();
         assert_eq!(n, kernel.num_frames(), "all frames reclaimable");

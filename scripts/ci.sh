@@ -22,6 +22,12 @@ echo "== determinism equivalence (release) =="
 cargo test --release -p harness --test determinism -- --nocapture
 cargo test --release -p simrng --test fork_properties
 
+echo "== benchmark crate (release) =="
+# perfbench/ is its own cargo workspace with path dependencies on the
+# crates, so a crate API change can break the benchmark while everything
+# above stays green.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== scan-path equivalence (release) =="
 # The incremental dirty-frame scanner and the skip-loop match core must stay
 # bit-identical to their naive full-scan oracles: differential fuzzing at
